@@ -245,17 +245,25 @@ mod tests {
             mode: TrainMode::FullGraph,
             phase: ExecPhase::Train,
         };
-        let t0 = gnnmark_telemetry::metrics::get("gnnmark_serve_trainings_total")
-            .map_or(0, |m| m.as_counter());
+        // File evidence, not the process-wide training counter, which other
+        // tests in this binary bump in parallel.
+        let path = cache.path_for(&key);
+        assert!(!path.exists(), "cold cache");
         let first = cache.get_or_train(&key).unwrap();
-        let t1 = gnnmark_telemetry::metrics::get("gnnmark_serve_trainings_total")
-            .map_or(0, |m| m.as_counter());
-        assert_eq!(t1, t0 + 1, "miss trains");
-        assert!(cache.path_for(&key).exists());
+        let stored = std::fs::read(&path).expect("miss trains and stores the entry");
+        assert_eq!(stored, first.to_bytes(), "miss stores what it trained");
+        // Backdate the entry: a retrain would rewrite it with a fresh mtime.
+        let backdated = std::time::SystemTime::UNIX_EPOCH + std::time::Duration::from_secs(1 << 30);
+        let file = std::fs::File::options().write(true).open(&path).unwrap();
+        file.set_modified(backdated).unwrap();
+        drop(file);
         let second = cache.get_or_train(&key).unwrap();
-        let t2 = gnnmark_telemetry::metrics::get("gnnmark_serve_trainings_total")
-            .map_or(0, |m| m.as_counter());
-        assert_eq!(t2, t1, "hit does not retrain");
+        assert_eq!(std::fs::read(&path).unwrap(), stored, "hit leaves the entry as is");
+        assert_eq!(
+            std::fs::metadata(&path).unwrap().modified().unwrap(),
+            backdated,
+            "hit does not retrain (every training rewrites the entry)"
+        );
         assert_eq!(first.to_bytes(), second.to_bytes(), "hit is byte-identical");
         let _ = std::fs::remove_dir_all(cache.dir());
     }

@@ -28,18 +28,24 @@
 //! the same replay cache, so resubmitting an identical job never
 //! retrains.
 //!
+//! No timer sits on the request or job path: the accept loop blocks in
+//! `accept`, and a job's lease heartbeat (every `ttl / 3`) stops the
+//! moment its campaign returns, so the job is `done` when its replay ends.
+//!
 //! On SIGINT/SIGTERM (`gnnmark::shutdown`) the daemon keeps serving
 //! reads — status polls, artifact fetches, `/healthz`, `/metrics` — but
 //! answers new submissions with `503` + `Retry-After` while the worker
-//! finishes its in-flight job. Still-queued jobs stay `queued` in the
-//! durable store and are picked up by a peer or the next restart; the
-//! drain hook compacts the WAL and a final metrics snapshot is written
-//! next to the results before the daemon returns.
+//! finishes its in-flight job; one loopback connection to its own address
+//! then wakes `accept`. Still-queued jobs stay `queued` in the durable
+//! store and are picked up by a peer or the next restart; the drain hook
+//! compacts the WAL and a final metrics snapshot is written next to the
+//! results before the daemon returns.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -55,6 +61,9 @@ use crate::store::{json_escape, JobStore, StoredJob};
 
 /// Times a worker-killed job may be re-queued before failing terminally.
 const MAX_REQUEUES: u64 = 3;
+
+/// Largest request body accepted; a larger `Content-Length` gets `413`.
+const MAX_BODY: usize = 4 << 20;
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -179,25 +188,6 @@ impl Daemon {
             }
         };
 
-        let lease = Arc::new(lease);
-        let stop_hb = Arc::new(AtomicBool::new(false));
-        let hb = {
-            let lease = Arc::clone(&lease);
-            let stop = Arc::clone(&stop_hb);
-            let tick = (self.leases.ttl() / 3).max(Duration::from_millis(50));
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::SeqCst) {
-                    std::thread::sleep(tick);
-                    if stop.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    if !lease.heartbeat().unwrap_or(false) {
-                        return; // lease lost — the thief owns the job now
-                    }
-                }
-            })
-        };
-
         let mut opts = self.opts.clone();
         {
             let store = Arc::clone(&self.store);
@@ -205,9 +195,21 @@ impl Daemon {
                 let _ = store.record_progress(id, msg);
             }));
         }
-        let result = run_campaign(&spec, &self.cache, &opts);
-        stop_hb.store(true, Ordering::SeqCst);
-        let _ = hb.join();
+        // Heartbeat every third of the TTL until the campaign returns:
+        // `_stop` drops with it, which wakes the heartbeat thread at once.
+        let tick = (self.leases.ttl() / 3).max(Duration::from_millis(50));
+        let result = std::thread::scope(|s| {
+            let (_stop, stopped) = mpsc::channel::<()>();
+            let lease = &lease;
+            s.spawn(move || {
+                while stopped.recv_timeout(tick) == Err(RecvTimeoutError::Timeout) {
+                    if !lease.heartbeat().unwrap_or(false) {
+                        return; // lease lost — the thief owns the job now
+                    }
+                }
+            });
+            run_campaign(&spec, &self.cache, &opts)
+        });
 
         match result {
             Ok(out) => {
@@ -255,9 +257,7 @@ impl Daemon {
                 }
             }
         }
-        if let Ok(lease) = Arc::try_unwrap(lease) {
-            lease.release();
-        }
+        lease.release();
         metrics::counter_add("gnnmark_serve_jobs_finished_total", 1);
     }
 }
@@ -271,31 +271,25 @@ struct Response {
 }
 
 impl Response {
-    fn json(status: u16, body: String) -> Response {
+    fn new(status: u16, content_type: &'static str, body: impl Into<String>) -> Response {
         Response {
             status,
-            content_type: "application/json",
-            body,
-            retry_after: None,
-        }
-    }
-
-    fn text(status: u16, body: impl Into<String>) -> Response {
-        Response {
-            status,
-            content_type: "text/plain; charset=utf-8",
+            content_type,
             body: body.into(),
             retry_after: None,
         }
     }
 
+    fn json(status: u16, body: String) -> Response {
+        Self::new(status, "application/json", body)
+    }
+
+    fn text(status: u16, body: impl Into<String>) -> Response {
+        Self::new(status, "text/plain; charset=utf-8", body)
+    }
+
     fn html(status: u16, body: String) -> Response {
-        Response {
-            status,
-            content_type: "text/html; charset=utf-8",
-            body,
-            retry_after: None,
-        }
+        Self::new(status, "text/html; charset=utf-8", body)
     }
 
     fn error(status: u16, msg: &str) -> Response {
@@ -382,12 +376,11 @@ fn job_status_json(job: &StoredJob) -> String {
 fn handle(daemon: &Daemon, method: &str, path: &str, body: &str) -> Response {
     match (method, path) {
         ("GET", "/healthz") => Response::text(200, "ok\n"),
-        ("GET", "/metrics") => Response {
-            status: 200,
-            content_type: "text/plain; version=0.0.4",
-            body: metrics_prometheus(&metrics::snapshot()),
-            retry_after: None,
-        },
+        ("GET", "/metrics") => Response::new(
+            200,
+            "text/plain; version=0.0.4",
+            metrics_prometheus(&metrics::snapshot()),
+        ),
         ("GET", "/dashboard") => {
             let _ = daemon.store.refresh();
             Response::html(
@@ -470,16 +463,8 @@ fn handle(daemon: &Daemon, method: &str, path: &str, body: &str) -> Response {
                     };
                     let path = daemon.store.dir().join(result_dir).join(name);
                     match std::fs::read_to_string(&path) {
-                        Ok(body) => Response {
-                            status: 200,
-                            content_type: if name.ends_with(".json") {
-                                "application/json"
-                            } else {
-                                "text/csv"
-                            },
-                            body,
-                            retry_after: None,
-                        },
+                        Ok(body) if name.ends_with(".json") => Response::json(200, body),
+                        Ok(body) => Response::new(200, "text/csv", body),
                         Err(_) => Response::error(404, "artifact missing on disk"),
                     }
                 }
@@ -513,7 +498,8 @@ fn route_label(method: &str, path: &str) -> &'static str {
     }
 }
 
-/// Reads one HTTP/1.1 request: `(method, path, body)`.
+/// Reads one HTTP/1.1 request: `(method, path, body)`. A body declared
+/// over [`MAX_BODY`] is an [`ErrorKind::FileTooLarge`] error.
 fn read_request(stream: &mut TcpStream) -> std::io::Result<(String, String, String)> {
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
@@ -537,7 +523,10 @@ fn read_request(stream: &mut TcpStream) -> std::io::Result<(String, String, Stri
             .map(str::trim)
             .and_then(|v| v.parse::<usize>().ok())
         {
-            content_length = v.min(4 << 20); // 4 MiB request cap
+            if v > MAX_BODY {
+                return Err(ErrorKind::FileTooLarge.into()); // body left unread
+            }
+            content_length = v;
         }
     }
     let mut body = vec![0u8; content_length];
@@ -552,6 +541,7 @@ fn write_response(stream: &mut TcpStream, r: &Response) -> std::io::Result<()> {
         400 => "Bad Request",
         404 => "Not Found",
         408 => "Request Timeout",
+        413 => "Payload Too Large",
         500 => "Internal Server Error",
         503 => "Service Unavailable",
         _ => "Error",
@@ -574,7 +564,8 @@ fn write_response(stream: &mut TcpStream, r: &Response) -> std::io::Result<()> {
 
 /// One accepted connection: enforce read/write deadlines so a stalled
 /// client can't pin a server thread, answer `408` when the request never
-/// arrives, and record per-status counters plus a latency histogram.
+/// arrives and `413` when its body is over [`MAX_BODY`], and record
+/// per-status counters plus a latency histogram.
 fn handle_connection(daemon: &Daemon, stream: &mut TcpStream) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
@@ -584,12 +575,12 @@ fn handle_connection(daemon: &Daemon, stream: &mut TcpStream) {
             route_label(&method, &path),
             handle(daemon, &method, &path, &body),
         ),
-        Err(e)
-            if e.kind() == std::io::ErrorKind::WouldBlock
-                || e.kind() == std::io::ErrorKind::TimedOut =>
-        {
+        Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
             metrics::counter_add("gnnmark_serve_read_timeouts_total", 1);
             ("timeout", Response::error(408, "timed out reading request"))
+        }
+        Err(e) if e.kind() == ErrorKind::FileTooLarge => {
+            ("other", Response::error(413, "request body over 4 MiB"))
         }
         Err(_) => return, // client went away mid-request
     };
@@ -624,7 +615,6 @@ fn handle_connection(daemon: &Daemon, stream: &mut TcpStream) {
 pub fn serve(cfg: &ServeConfig) -> std::io::Result<()> {
     shutdown::install();
     let listener = TcpListener::bind(&cfg.addr)?;
-    listener.set_nonblocking(true)?;
     let local = listener.local_addr()?;
 
     let store = Arc::new(JobStore::open(&cfg.store_dir)?);
@@ -673,38 +663,48 @@ pub fn serve(cfg: &ServeConfig) -> std::io::Result<()> {
         let daemon = Arc::clone(&daemon);
         std::thread::spawn(move || daemon.work())
     };
+    // Drain supervisor: the signal handler only flips a flag, so poll it and
+    // announce the drain at once, even mid-job. Once the worker returns, one
+    // loopback connection wakes the blocking accept below.
+    let worker_done = Arc::new(AtomicBool::new(false));
+    let supervisor = {
+        let (daemon, done) = (Arc::clone(&daemon), Arc::clone(&worker_done));
+        let wake: SocketAddr = match local.ip() {
+            IpAddr::V4(ip) if ip.is_unspecified() => (Ipv4Addr::LOCALHOST, local.port()).into(),
+            IpAddr::V6(ip) if ip.is_unspecified() => (Ipv6Addr::LOCALHOST, local.port()).into(),
+            _ => local,
+        };
+        std::thread::spawn(move || {
+            while !shutdown::requested() {
+                std::thread::sleep(Duration::from_millis(25));
+            }
+            daemon.draining.store(true, Ordering::SeqCst);
+            eprintln!("gnnmark-serve: shutdown requested, draining");
+            let _ = worker.join();
+            done.store(true, Ordering::SeqCst);
+            let _ = TcpStream::connect(wake);
+        })
+    };
     eprintln!(
         "gnnmark-serve [{}] listening on http://{local} (store: {})",
         daemon.leases.worker_id(),
         cfg.store_dir.display()
     );
 
-    // Accept loop. Once shutdown is requested, reads keep being served
-    // (and submissions 503) until the worker's in-flight job completes.
-    loop {
-        if shutdown::requested() {
-            if !daemon.draining.swap(true, Ordering::SeqCst) {
-                eprintln!("gnnmark-serve: shutdown requested, draining");
-            }
-            if worker.is_finished() {
-                break;
-            }
+    // Accept loop. While draining, reads are still served and submissions
+    // get 503 until the supervisor's wake-up connection arrives.
+    for stream in listener.incoming() {
+        if worker_done.load(Ordering::SeqCst) {
+            break;
         }
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                let daemon = Arc::clone(&daemon);
-                // One thread per connection; requests are tiny and
-                // Connection: close keeps lifetimes bounded.
-                std::thread::spawn(move || handle_connection(&daemon, &mut stream));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(e) => return Err(e),
-        }
+        let mut stream = stream?;
+        let daemon = Arc::clone(&daemon);
+        // One thread per connection; requests are tiny and
+        // Connection: close keeps lifetimes bounded.
+        std::thread::spawn(move || handle_connection(&daemon, &mut stream));
     }
 
-    let _ = worker.join();
+    let _ = supervisor.join();
     shutdown::run_drain_hooks();
     std::fs::create_dir_all(&cfg.results_dir)?;
     std::fs::write(
@@ -871,6 +871,27 @@ mod tests {
             handle(&daemon, "GET", "/nope", "").content_type,
             "application/json"
         );
+        let _ = std::fs::remove_dir_all(daemon.store.dir().parent().unwrap());
+    }
+
+    #[test]
+    fn oversized_body_gets_413_without_being_read() {
+        let daemon = test_daemon("413");
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        // Headers only: a server that waited for the body would answer 408
+        // after its read deadline instead.
+        let len = MAX_BODY + 1;
+        write!(client, "POST /jobs HTTP/1.1\r\nContent-Length: {len}\r\n\r\n").unwrap();
+        let (mut conn, _) = listener.accept().unwrap();
+        let started = Instant::now();
+        handle_connection(&daemon, &mut conn);
+        drop(conn);
+        assert!(started.elapsed() < Duration::from_secs(4), "the body was waited for");
+        let mut reply = String::new();
+        client.read_to_string(&mut reply).unwrap();
+        assert!(reply.starts_with("HTTP/1.1 413 Payload Too Large\r\n"), "{reply}");
+        assert!(daemon.store.jobs().is_empty(), "nothing was submitted");
         let _ = std::fs::remove_dir_all(daemon.store.dir().parent().unwrap());
     }
 

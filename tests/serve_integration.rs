@@ -5,7 +5,7 @@
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::{Duration, Instant, SystemTime};
 
 use gnnmark_serve::campaign::CampaignOptions;
 use gnnmark_serve::{run_campaign, serve, CampaignSpec, ServeConfig, StreamCache};
@@ -32,8 +32,8 @@ fn ablation_spec(name: &str) -> CampaignSpec {
     .unwrap()
 }
 
-/// A second identical submission is a pure cache hit: the training
-/// counter does not move and the merged output is unchanged.
+/// A second identical submission is a pure cache hit: no cache entry is
+/// rewritten and the merged output is unchanged.
 #[test]
 fn resubmitted_campaign_never_retrains() {
     let dir = tmp("resubmit");
@@ -46,12 +46,17 @@ fn resubmitted_campaign_never_retrains() {
     assert_eq!(first.trainings, 2, "two workloads train on a cold cache");
     assert_eq!(first.results.len(), 12, "6 configs x 2 workloads");
 
-    let t_before = gnnmark_telemetry::metrics::get("gnnmark_serve_trainings_total")
-        .map_or(0, |m| m.as_counter());
+    // Every training rewrites its cache entry, so an untouched cache
+    // directory proves no retrain. (The process-wide training counter can't:
+    // the daemon test in this binary trains in parallel.)
+    let before = cache_entries(cache.dir(), true);
+    assert_eq!(before.len(), 2, "one entry per workload");
     let second = run_campaign(&spec, &cache, &opts).unwrap();
-    let t_after = gnnmark_telemetry::metrics::get("gnnmark_serve_trainings_total")
-        .map_or(0, |m| m.as_counter());
-    assert_eq!(t_after, t_before, "resubmission must not retrain");
+    assert_eq!(
+        cache_entries(cache.dir(), false),
+        before,
+        "resubmission must not retrain"
+    );
     assert_eq!(second.trainings, 0);
     assert_eq!(second.cache_hits, 2);
     assert_eq!(
@@ -60,6 +65,28 @@ fn resubmitted_campaign_never_retrains() {
     );
     assert_eq!(first.figure_csvs(), second.figure_csvs());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Each cache entry's path, bytes and mtime, after setting every mtime
+/// back to a fixed old time when `backdate` is set: a retrain rewrites its
+/// entry, so its mtime would then move.
+fn cache_entries(dir: &std::path::Path, backdate: bool) -> Vec<(PathBuf, Vec<u8>, SystemTime)> {
+    let mut files = Vec::new();
+    collect_files(dir, &mut files);
+    files.sort();
+    files
+        .into_iter()
+        .map(|p| {
+            if backdate {
+                let old = SystemTime::UNIX_EPOCH + Duration::from_secs(1 << 30);
+                let file = std::fs::File::options().write(true).open(&p).unwrap();
+                file.set_modified(old).unwrap();
+            }
+            let bytes = std::fs::read(&p).unwrap();
+            let mtime = std::fs::metadata(&p).unwrap().modified().unwrap();
+            (p, bytes, mtime)
+        })
+        .collect()
 }
 
 /// The same spec at different worker counts produces byte-identical
